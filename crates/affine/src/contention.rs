@@ -9,13 +9,17 @@
 
 use act_topology::{Complex, Simplex, VertexId};
 
-use crate::views::views_of;
+use crate::views::{views_of, Views};
 
 /// Whether two vertices of a level-2 complex are contending (the two
 /// clauses of Definition 5).
 pub fn are_contending(complex: &Complex, v: VertexId, w: VertexId) -> bool {
-    let a = views_of(complex, v);
-    let b = views_of(complex, w);
+    views_contend(views_of(complex, v), views_of(complex, w))
+}
+
+/// Definition 5 on two vertices' views: `View1` and `View2` strictly
+/// ordered in opposite directions.
+pub(crate) fn views_contend(a: Views, b: Views) -> bool {
     (a.view1.is_proper_subset_of(b.view1) && b.view2.is_proper_subset_of(a.view2))
         || (b.view1.is_proper_subset_of(a.view1) && a.view2.is_proper_subset_of(b.view2))
 }

@@ -33,11 +33,11 @@ pub struct CriticalInfo {
 /// Evaluator of Definitions 7 and 8 over a fixed level-1 complex (`Chr` of
 /// the standard simplex) and agreement function, with memoization.
 ///
-/// The memo cache is thread-private: the parallel facet filter of the
-/// `R_A` construction (`fair.rs`) creates one `CriticalAnalysis` per
-/// worker thread, so no locking is needed on the hot path. The type is
-/// `Send` (asserted by a test), which is what the scoped-thread fan-out
-/// requires.
+/// The memo cache is private to the instance, so no locking is needed on
+/// the hot path; the type is `Send` (asserted by a test). Compiling `R_A`
+/// does not go through it: the skeleton's table (`skeleton.rs`) evaluates
+/// the same definitions per dense carrier id through
+/// `CriticalCandidates`.
 ///
 /// # Examples
 ///
@@ -93,19 +93,9 @@ impl<'a> CriticalAnalysis<'a> {
     /// share the carrier of `σ`, and removing `χ(σ)` from that carrier's
     /// colors strictly lowers the agreement power.
     pub fn is_critical(&self, sigma: &Simplex) -> bool {
-        if sigma.is_empty() {
-            return false;
-        }
-        let carrier_colors = self.chr.carrier_colors(sigma);
-        if !sigma
-            .vertices()
-            .iter()
-            .all(|&v| self.chr.base_colors_of_vertex(v) == carrier_colors)
-        {
-            return false;
-        }
-        let chi = self.chr.colors(sigma);
-        self.alpha.alpha(carrier_colors.minus(chi)) < self.alpha.alpha(carrier_colors)
+        shared_carrier_colors(self.chr, sigma).is_some_and(|carrier_colors| {
+            lowers_power(self.alpha, carrier_colors, self.chr.colors(sigma))
+        })
     }
 
     /// Full critical analysis of `σ` (memoized): `CS_α`, `CSM_α`, `CSV_α`
@@ -163,6 +153,74 @@ impl<'a> CriticalAnalysis<'a> {
             .filter(|t| alpha.alpha(chr.carrier_colors(t)) >= level)
             .cloned()
             .collect()
+    }
+}
+
+/// The carrier colors of `σ` if every vertex of `σ` has them as its own
+/// base colors (the α-independent clause of Definition 7); `None` for the
+/// empty simplex and for simplices whose vertices saw different views.
+fn shared_carrier_colors(chr: &Complex, sigma: &Simplex) -> Option<ColorSet> {
+    let carrier_colors = chr.carrier_colors(sigma);
+    let shared = !sigma.is_empty()
+        && sigma
+            .vertices()
+            .iter()
+            .all(|&v| chr.base_colors_of_vertex(v) == carrier_colors);
+    shared.then_some(carrier_colors)
+}
+
+/// The α clause of Definition 7: removing `chi` from the view
+/// `carrier_colors` strictly lowers the agreement power.
+fn lowers_power(alpha: &AgreementFunction, carrier_colors: ColorSet, chi: ColorSet) -> bool {
+    alpha.alpha(carrier_colors.minus(chi)) < alpha.alpha(carrier_colors)
+}
+
+/// The α-independent half of [`CriticalAnalysis::analyze`] for one
+/// simplex `σ` of `Chr s`: the colors and carrier colors of each face of
+/// `σ` that passes [`shared_carrier_colors`], the only faces Definition 7
+/// can call critical. [`CriticalCandidates::summarize`] then evaluates
+/// Definitions 7 and 8 for any `α` with table lookups alone.
+#[derive(Clone, Debug)]
+pub(crate) struct CriticalCandidates(Vec<(ColorSet, ColorSet)>);
+
+/// `χ(CSM_α(σ))`, `χ(CSV_α(σ))` and `Conc_α(σ)`: the parts of
+/// [`CriticalInfo`] Definition 9 reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CriticalSummary {
+    pub(crate) member_colors: ColorSet,
+    pub(crate) view_colors: ColorSet,
+    pub(crate) concurrency: usize,
+}
+
+impl CriticalCandidates {
+    pub(crate) fn of(chr: &Complex, sigma: &Simplex) -> CriticalCandidates {
+        CriticalCandidates(
+            sigma
+                .non_empty_faces()
+                .filter_map(|face| {
+                    shared_carrier_colors(chr, &face).map(|cc| (chr.colors(&face), cc))
+                })
+                .collect(),
+        )
+    }
+
+    /// Equal to the corresponding fields of [`CriticalAnalysis::analyze`]:
+    /// the members are the union of the critical faces, so their colors
+    /// and carrier colors are the unions of the faces' own.
+    pub(crate) fn summarize(&self, alpha: &AgreementFunction) -> CriticalSummary {
+        let mut out = CriticalSummary {
+            member_colors: ColorSet::EMPTY,
+            view_colors: ColorSet::EMPTY,
+            concurrency: 0,
+        };
+        for &(chi, carrier_colors) in &self.0 {
+            if lowers_power(alpha, carrier_colors, chi) {
+                out.member_colors = out.member_colors.union(chi);
+                out.view_colors = out.view_colors.union(carrier_colors);
+                out.concurrency = out.concurrency.max(alpha.alpha(carrier_colors));
+            }
+        }
+        out
     }
 }
 
@@ -319,9 +377,33 @@ mod tests {
     }
 
     #[test]
+    fn candidate_summaries_match_the_memoized_analysis() {
+        let chr = chr3();
+        let models: Vec<AgreementFunction> = vec![
+            AgreementFunction::k_concurrency(3, 1),
+            AgreementFunction::k_concurrency(3, 2),
+            AgreementFunction::of_adversary(&zoo::figure_5b_adversary()),
+            AgreementFunction::of_adversary(&Adversary::t_resilient(3, 1)),
+            AgreementFunction::of_adversary(&Adversary::wait_free(3)),
+        ];
+        for alpha in &models {
+            let mut crit = CriticalAnalysis::new(&chr, alpha);
+            for facet in chr.facets() {
+                for face in facet.faces() {
+                    let info = crit.analyze(&face).clone();
+                    let summary = CriticalCandidates::of(&chr, &face).summarize(alpha);
+                    assert_eq!(summary.member_colors, info.member_colors, "{face:?}");
+                    assert_eq!(summary.view_colors, info.view_colors, "{face:?}");
+                    assert_eq!(summary.concurrency, info.concurrency, "{face:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn critical_analysis_is_send() {
-        // The parallel R_A filter moves per-worker instances into scoped
-        // threads; keep the type Send.
+        // Callers may move instances into worker threads; keep the type
+        // Send.
         fn assert_send<T: Send>() {}
         assert_send::<CriticalAnalysis<'_>>();
     }

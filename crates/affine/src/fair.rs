@@ -30,12 +30,9 @@
 //! verified against this `R_A` for `n ≤ 4`.
 
 use act_adversary::AgreementFunction;
-use act_topology::{
-    parallel_filter_facets, subdivision_threads, ColorPerm, ColorSet, Complex, Simplex,
-};
+use act_topology::{ColorPerm, ColorSet, Simplex};
 
-use crate::contention::is_contention_simplex;
-use crate::critical::CriticalAnalysis;
+use crate::skeleton::{census_skeleton, chr2_skeleton};
 use crate::task::AffineTask;
 
 /// Which reading of Definition 9's side condition to use; see the module
@@ -76,7 +73,13 @@ pub fn fair_affine_task(alpha: &AgreementFunction) -> AffineTask {
 }
 
 /// [`fair_affine_task`] with an explicit side-condition reading.
+///
+/// Only the α-dependent half of Definition 9 runs per call: `Chr² s` and
+/// its contention and carrier tables come from the per-process-count
+/// skeleton (see `skeleton.rs`), so every `R_A` of one process count
+/// shares one vertex structure. Emits an `affine.compile` telemetry span.
 pub fn fair_affine_task_with(alpha: &AgreementFunction, side: CriticalSideCondition) -> AffineTask {
+    let span = act_obs::span("affine.compile");
     let n = alpha.num_processes();
     alpha
         .validate()
@@ -85,30 +88,26 @@ pub fn fair_affine_task_with(alpha: &AgreementFunction, side: CriticalSideCondit
         alpha.alpha(act_topology::ColorSet::full(n)) >= 1,
         "the model must admit at least one run (α(Π) ≥ 1)"
     );
-    let chr2 = Complex::standard(n).iterated_subdivision(2);
-    let complex = restrict_to_fair(&chr2, alpha, side);
-    AffineTask::new(format!("R_A[{side:?}]"), complex)
-}
-
-/// The facet filter of Definition 9, applied to a level-2 complex.
-///
-/// The filter fans out over facet chunks; each worker owns a private
-/// memoizing [`CriticalAnalysis`], and the per-chunk results are
-/// concatenated in chunk order, so the kept-facet list (and hence the
-/// complex) is identical to a serial filter for every thread count.
-fn restrict_to_fair(
-    chr2: &Complex,
-    alpha: &AgreementFunction,
-    side: CriticalSideCondition,
-) -> Complex {
-    let parent = chr2.parent().expect("level-2 complex").clone();
-    let kept: Vec<Simplex> = parallel_filter_facets(
-        chr2.facets(),
-        subdivision_threads(),
-        || CriticalAnalysis::new(&parent, alpha),
-        |crit, sigma| facet_satisfies_p(chr2, crit, sigma, side),
-    );
-    chr2.sub_complex(kept)
+    let (skeleton, memo_hit) = chr2_skeleton(n);
+    let skeleton_hit = memo_hit && skeleton.has_table();
+    let chr2 = skeleton.chr2();
+    let keep = skeleton.table().keep(alpha, side);
+    let kept: Vec<Simplex> = chr2
+        .facets()
+        .iter()
+        .zip(keep)
+        .filter(|&(_, k)| k)
+        .map(|(sigma, _)| sigma.clone())
+        .collect();
+    let task = AffineTask::new(format!("R_A[{side:?}]"), chr2.sub_complex(kept));
+    span.finish()
+        .u64("n", n as u64)
+        .str("side", &format!("{side:?}"))
+        .u64("chr2_facets", chr2.facet_count() as u64)
+        .u64("kept_facets", task.complex().facet_count() as u64)
+        .bool("skeleton_hit", skeleton_hit)
+        .emit();
+    task
 }
 
 /// The result of the symmetry-quotiented `R_A` census
@@ -160,7 +159,9 @@ pub fn fair_census_quotiented(alpha: &AgreementFunction) -> Option<FairCensus> {
 ///
 /// This avoids building `Chr² s` entirely — 16 representative expansions
 /// of 541 recipes each instead of 292 681 facets at `n = 5` — which is
-/// what makes the n = 5 census tractable.
+/// what makes the n = 5 census tractable. The expansions and their
+/// Definition 9 table do not depend on `α`; they are built once per
+/// process count (up to `n = 5`), so a call evaluates only `α`'s half.
 ///
 /// Sound only for color-symmetric agreement functions (Definition 9 is
 /// equivariant exactly when `α` is); returns `None` otherwise, and callers
@@ -184,69 +185,27 @@ pub fn fair_census_quotiented_with(
     if !alpha_is_symmetric(alpha) {
         return None;
     }
-    let chr = Complex::standard(n).chromatic_subdivision();
-    let quotient = chr.chromatic_subdivision_quotiented();
-    let reps = quotient.representatives();
-    let mut crit = CriticalAnalysis::new(&chr, alpha);
+    let census = census_skeleton(n);
+    let mut keep = census.table.keep(alpha, side).into_iter();
     let mut facet_count = 0usize;
     let mut chr2_facet_count = 0usize;
-    for expansion in quotient.orbit_expansions() {
-        let size = expansion.orbit.orbit_size();
-        chr2_facet_count += size * expansion.rep_facets.len();
-        let surviving = expansion
-            .rep_facets
-            .iter()
-            .filter(|sigma| facet_satisfies_p(reps, &mut crit, sigma, side))
-            .count();
+    for &(size, rep_facets) in &census.orbits {
+        chr2_facet_count += size * rep_facets;
+        let surviving = keep.by_ref().take(rep_facets).filter(|&k| k).count();
         facet_count += size * surviving;
     }
     Some(FairCensus {
         facet_count,
-        orbit_count: quotient.orbits().len(),
+        orbit_count: census.orbits.len(),
         chr2_facet_count,
     })
-}
-
-/// Whether every subset `θ` of the facet `σ` satisfies `P(θ, σ)`.
-fn facet_satisfies_p(
-    chr2: &Complex,
-    crit: &mut CriticalAnalysis<'_>,
-    sigma: &Simplex,
-    side: CriticalSideCondition,
-) -> bool {
-    let rho = chr2.carrier_in_parent(sigma);
-    let csm_rho = crit.member_colors(&rho);
-    for theta in sigma.non_empty_faces() {
-        if !is_contention_simplex(chr2, &theta) {
-            continue;
-        }
-        let tau = chr2.carrier_in_parent(&theta);
-        let csv_tau = crit.view_colors(&tau);
-        let chi_theta = chr2.colors(&theta);
-        let excused = match side {
-            CriticalSideCondition::Union => {
-                chi_theta.intersects(csm_rho) || chi_theta.intersects(csv_tau)
-            }
-            CriticalSideCondition::TripleIntersection => {
-                chi_theta.intersection(csm_rho).intersects(csv_tau)
-            }
-        };
-        if excused {
-            continue;
-        }
-        let conc = crit.concurrency(&tau);
-        if theta.dim() >= conc as isize {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use act_adversary::{zoo, Adversary};
-    use act_topology::ColorSet;
+    use act_topology::{ColorSet, Complex};
 
     #[test]
     fn r_a_for_wait_free_is_all_of_chr2() {

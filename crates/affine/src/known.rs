@@ -10,9 +10,10 @@
 //! Kuznetsov–Rieutord (reference [25] of the paper) would slot in here;
 //! they are listed as future work by the paper and are out of scope.
 
-use act_topology::{parallel_filter_facets, subdivision_threads, Complex, Simplex};
+use act_topology::Simplex;
 
 use crate::contention::max_contention_dim;
+use crate::skeleton::chr2_skeleton;
 use crate::task::AffineTask;
 
 /// The affine task `R_{k-OF}` of the `k`-obstruction-free adversary
@@ -25,19 +26,18 @@ use crate::task::AffineTask;
 /// Panics if `k` is 0 or exceeds `n`.
 pub fn k_obstruction_free_task(n: usize, k: usize) -> AffineTask {
     assert!((1..=n).contains(&k), "k must be in 1..=n");
-    let chr2 = Complex::standard(n).iterated_subdivision(2);
-    // Pure complement as a chunked, order-preserving facet filter (the
-    // facets of Chr² s are all maximal, so filtering them is equivalent).
-    let kept: Vec<Simplex> = parallel_filter_facets(
-        chr2.facets(),
-        subdivision_threads(),
-        || (),
-        |(), facet| {
-            !facet.non_empty_faces().any(|theta| {
-                theta.dim() >= k as isize && crate::contention::is_contention_simplex(&chr2, &theta)
-            })
-        },
-    );
+    let (skeleton, _) = chr2_skeleton(n);
+    let chr2 = skeleton.chr2();
+    // Pure complement as a facet filter (the facets of Chr² s are all
+    // maximal, so filtering them is equivalent), reading each facet's
+    // largest contention face from the skeleton's table.
+    let kept: Vec<Simplex> = chr2
+        .facets()
+        .iter()
+        .zip(skeleton.table().max_contention_len())
+        .filter(|&(_, len)| len <= k)
+        .map(|(facet, _)| facet.clone())
+        .collect();
     AffineTask::new(format!("R_{k}-OF"), chr2.sub_complex(kept))
 }
 
@@ -52,26 +52,25 @@ pub fn k_obstruction_free_task(n: usize, k: usize) -> AffineTask {
 /// Panics if `t >= n`.
 pub fn t_resilient_task(n: usize, t: usize) -> AffineTask {
     assert!(t < n, "t-resilience requires t < n");
-    let chr2 = Complex::standard(n).iterated_subdivision(2);
-    // Chunked, order-preserving filter: identical to a serial filter for
-    // every thread count.
-    let kept: Vec<Simplex> = parallel_filter_facets(
-        chr2.facets(),
-        subdivision_threads(),
-        || (),
-        |(), f| {
+    let (skeleton, _) = chr2_skeleton(n);
+    let chr2 = skeleton.chr2();
+    let kept: Vec<Simplex> = chr2
+        .facets()
+        .iter()
+        .filter(|f| {
             f.vertices()
                 .iter()
                 .all(|&v| chr2.base_colors_of_vertex(v).len() >= n - t)
-        },
-    );
+        })
+        .cloned()
+        .collect();
     AffineTask::new(format!("R_{t}-res"), chr2.sub_complex(kept))
 }
 
 /// The wait-free affine task: all of `Chr² s` (Herlihy–Shavit; equal to
 /// both `R_{(n-1)-res}` and `R_{n-OF}`).
 pub fn wait_free_task(n: usize) -> AffineTask {
-    AffineTask::new("wait-free", Complex::standard(n).iterated_subdivision(2))
+    AffineTask::new("wait-free", chr2_skeleton(n).0.chr2().clone())
 }
 
 /// Convenience: the maximal contention dimension over all facets of a

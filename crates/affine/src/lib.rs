@@ -36,6 +36,7 @@ mod contention;
 mod critical;
 mod fair;
 mod known;
+mod skeleton;
 mod task;
 mod views;
 

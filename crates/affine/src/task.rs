@@ -6,6 +6,8 @@ use std::fmt;
 
 use act_topology::{all_recipes, ColorSet, Complex, ProcessId, Recipe, Simplex, VertexId};
 
+use crate::skeleton::chr2_skeleton;
+
 /// Process-global count of affine subdivision rounds: one per
 /// [`AffineTask::apply_to`] call, i.e. one per domain-tower level actually
 /// built. This is the unit of work a domain cache saves — regression tests
@@ -195,8 +197,9 @@ impl AffineTask {
     /// Panics if a recipe does not describe a facet of `Chr² s` over `n`
     /// processes, or the resulting complex is not a valid affine task.
     pub fn from_recipes(name: impl Into<String>, n: usize, recipes: &[Recipe]) -> AffineTask {
-        let chr2 = Complex::standard(n).iterated_subdivision(2);
-        let base_facet = Complex::standard(n).facets()[0].clone();
+        let (skeleton, _) = chr2_skeleton(n);
+        let chr2 = skeleton.chr2();
+        let base_facet = chr2.base().facets()[0].clone();
         let facets: Vec<Simplex> = recipes
             .iter()
             .map(|r| {

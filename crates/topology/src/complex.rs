@@ -345,23 +345,11 @@ impl Complex {
     ///
     /// Panics (in debug builds) if a simplex references an unknown vertex.
     pub fn sub_complex<I: IntoIterator<Item = Simplex>>(&self, simplices: I) -> Complex {
-        let mut sims: Vec<Simplex> = simplices.into_iter().collect();
+        let sims: Vec<Simplex> = simplices.into_iter().collect();
         debug_assert!(sims
             .iter()
             .all(|s| s.vertices().iter().all(|v| v.index() < self.num_vertices())));
-        // Keep only maximal simplices.
-        sims.sort_by_key(|s| std::cmp::Reverse(s.len()));
-        sims.dedup();
-        let mut maximal: Vec<Simplex> = Vec::new();
-        'outer: for s in sims {
-            for m in &maximal {
-                if s.is_face_of(m) {
-                    continue 'outer;
-                }
-            }
-            maximal.push(s);
-        }
-        Complex::assemble(Arc::clone(&self.structure), maximal)
+        Complex::assemble(Arc::clone(&self.structure), maximal_simplices(sims))
     }
 
     /// The pure complement `Pc(S, K)` (Section 2 of the paper): the closure
@@ -553,6 +541,54 @@ impl PartialEq for Complex {
 }
 
 impl Eq for Complex {}
+
+/// The maximal elements of `sims`: longest first, ties in input order,
+/// each kept simplex at its first occurrence.
+///
+/// Linear in the input up to the size of the vertex buckets: exact
+/// duplicates are dropped through a hash set, and a simplex is tested for
+/// being a face only against kept simplices that are strictly longer and
+/// share its least-shared vertex. Kept simplices of equal length cannot
+/// contain it without being equal to it, and a dropped simplex is itself a
+/// face of a kept one.
+fn maximal_simplices(mut sims: Vec<Simplex>) -> Vec<Simplex> {
+    sims.sort_by_key(|s| std::cmp::Reverse(s.len()));
+    let buckets_len = sims
+        .iter()
+        .filter_map(|s| s.vertices().last())
+        .map(|v| v.index() + 1)
+        .max()
+        .unwrap_or(0);
+    // For each vertex, the indices (into `sims`) of kept simplices on it.
+    let mut kept_on: Vec<Vec<u32>> = vec![Vec::new(); buckets_len];
+    let mut seen: HashSet<&Simplex> = HashSet::with_capacity(sims.len());
+    let mut keep = vec![false; sims.len()];
+    let mut any_kept = false;
+    for (i, s) in sims.iter().enumerate() {
+        if !seen.insert(s) {
+            continue;
+        }
+        let covered = match s.vertices().iter().min_by_key(|v| kept_on[v.index()].len()) {
+            // The empty simplex is a face of anything kept.
+            None => any_kept,
+            Some(v) => kept_on[v.index()].iter().any(|&m| {
+                let m = &sims[m as usize];
+                m.len() > s.len() && s.is_face_of(m)
+            }),
+        };
+        if !covered {
+            keep[i] = true;
+            any_kept = true;
+            for v in s.vertices() {
+                kept_on[v.index()].push(i as u32);
+            }
+        }
+    }
+    sims.into_iter()
+        .zip(keep)
+        .filter_map(|(s, k)| k.then_some(s))
+        .collect()
+}
 
 fn structures_eq(a: &Arc<Structure>, b: &Arc<Structure>) -> bool {
     if Arc::ptr_eq(a, b) {
@@ -888,5 +924,90 @@ mod tests {
                 ColorSet::singleton(ProcessId::new(i))
             );
         }
+    }
+
+    /// The quadratic algorithm `sub_complex` used before the vertex index:
+    /// every simplex is checked against every kept one. Kept as the oracle
+    /// for [`maximal_simplices`].
+    fn maximal_simplices_quadratic(mut sims: Vec<Simplex>) -> Vec<Simplex> {
+        sims.sort_by_key(|s| std::cmp::Reverse(s.len()));
+        sims.dedup();
+        let mut maximal: Vec<Simplex> = Vec::new();
+        'outer: for s in sims {
+            for m in &maximal {
+                if s.is_face_of(m) {
+                    continue 'outer;
+                }
+            }
+            maximal.push(s);
+        }
+        maximal
+    }
+
+    fn simplex_of_mask(mask: u64) -> Simplex {
+        Simplex::from_vertices(
+            (0..8)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(VertexId::from_index),
+        )
+    }
+
+    /// A simplex list over 8 vertices from `(op, mask, pick)` steps: a
+    /// fresh simplex, the empty simplex, an adjacent duplicate, a
+    /// duplicate of an earlier entry, or a face of an earlier entry.
+    fn simplex_list(steps: Vec<(u8, u64, usize)>) -> Vec<Simplex> {
+        let mut out: Vec<Simplex> = Vec::new();
+        for (op, mask, pick) in steps {
+            let earlier = (!out.is_empty()).then(|| out[pick % out.len()].clone());
+            let next = match (op, earlier) {
+                (1, _) => Simplex::empty(),
+                (2, Some(_)) => out[out.len() - 1].clone(),
+                (3, Some(e)) => e,
+                (4, Some(e)) => e.filter(|v| mask & (1 << v.index()) != 0),
+                _ => simplex_of_mask(mask),
+            };
+            out.push(next);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn maximal_simplices_matches_the_quadratic_oracle(
+            steps in proptest::collection::vec((0u8..5, 0u64..256, 0usize..64), 0..48)
+        ) {
+            let sims = simplex_list(steps);
+            proptest::prop_assert_eq!(
+                maximal_simplices(sims.clone()),
+                maximal_simplices_quadratic(sims)
+            );
+        }
+    }
+
+    #[test]
+    fn sub_complex_keeps_maximal_simplices_in_oracle_order() {
+        let s = Complex::standard(8);
+        let sims = simplex_list(vec![
+            (0, 0b0000_0011, 0),
+            (1, 0, 0),
+            (0, 0b0000_0111, 0),
+            (2, 0, 0),
+            (4, 0b0000_0101, 2),
+            (0, 0b1100_0000, 0),
+            (3, 0, 0),
+            (0, 0b0000_0111, 0),
+        ]);
+        let sub = s.sub_complex(sims.clone());
+        assert_eq!(sub.facets(), maximal_simplices_quadratic(sims).as_slice());
+        assert_eq!(
+            sub.facets(),
+            &[simplex_of_mask(0b0000_0111), simplex_of_mask(0b1100_0000)]
+        );
+        // Only empty simplices: one empty facet survives, as before.
+        let void = s.sub_complex(vec![Simplex::empty(), Simplex::empty()]);
+        assert_eq!(void.facets(), &[Simplex::empty()]);
+        assert!(s.sub_complex(Vec::new()).facets().is_empty());
     }
 }

@@ -64,9 +64,7 @@ pub use homology::{betti_numbers, euler_characteristic, is_acyclic};
 pub use intern::InternArena;
 pub use maps::VertexMap;
 pub use osp::{fubini, ordered_set_partitions, osp_table, Osp, OspError};
-pub use parallel::{
-    parallel_filter_facets, parallel_map_ranges, parallel_map_ranges_catch, subdivision_threads,
-};
+pub use parallel::{parallel_map_ranges, parallel_map_ranges_catch, subdivision_threads};
 pub use portable::{PortableError, PORTABLE_FORMAT_VERSION};
 pub use simplex::{Faces, Simplex, VertexId};
 pub use subdivision::{all_recipes, OrbitExpansion, QuotientedSubdivision, Recipe};

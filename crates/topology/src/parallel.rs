@@ -16,8 +16,6 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::simplex::Simplex;
-
 /// The number of worker threads subdivision-engine operations fan out to:
 /// `RAYON_NUM_THREADS` if set to a positive integer, otherwise the
 /// machine's available parallelism.
@@ -170,38 +168,9 @@ where
     out
 }
 
-/// Filters a facet list on up to `threads` scoped threads, preserving
-/// order: each worker owns a private predicate state created by `init`
-/// (e.g. a memoizing critical-simplex analysis), and the per-chunk results
-/// are concatenated in chunk order, so the output equals the serial filter
-/// for every thread count.
-pub fn parallel_filter_facets<S, I, P>(
-    facets: &[Simplex],
-    threads: usize,
-    init: I,
-    pred: P,
-) -> Vec<Simplex>
-where
-    I: Fn() -> S + Sync,
-    P: Fn(&mut S, &Simplex) -> bool + Sync,
-{
-    parallel_map_ranges(facets.len(), threads, |range| {
-        let mut state = init();
-        facets[range]
-            .iter()
-            .filter(|f| pred(&mut state, f))
-            .cloned()
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::VertexId;
 
     #[test]
     fn chunk_ranges_partition_the_input() {
@@ -226,19 +195,6 @@ mod tests {
     fn parallel_map_preserves_chunk_order() {
         let out = parallel_map_ranges(10, 4, |r| r.clone());
         assert_eq!(out, chunk_ranges(10, 4));
-    }
-
-    #[test]
-    fn parallel_filter_matches_serial_for_every_thread_count() {
-        let facets: Vec<Simplex> = (0..25)
-            .map(|i| Simplex::vertex(VertexId::from_index(i)))
-            .collect();
-        let keep = |_: &mut (), f: &Simplex| !f.vertices()[0].index().is_multiple_of(3);
-        let serial = parallel_filter_facets(&facets, 1, || (), keep);
-        for threads in 2..6 {
-            let parallel = parallel_filter_facets(&facets, threads, || (), keep);
-            assert_eq!(parallel, serial);
-        }
     }
 
     #[test]

@@ -168,7 +168,10 @@ fn alpha_verdicts_agree_with_their_adversary_specs_across_the_zoo() {
     // The tentpole cross-check: for every fair adversary A in the zoo
     // at n ≤ 4, `alpha:(A)` and A's own spec answer every k-set
     // consensus query identically through the full scheduler path —
-    // distinct store keys, one truth.
+    // distinct store keys, one truth. Its engine runs move the
+    // process-global counters other tests here diff, so it holds the
+    // same guard.
+    let _guard = serial();
     let sched = Scheduler::new(Arc::new(VerdictStore::in_memory()), ServeConfig::default());
     sched.start_workers();
     // The empty adversary admits no runs, so it has no custom spelling

@@ -5,13 +5,21 @@
 //! of worker count; torn checkpoint tails are tolerated.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use act_campaign::{chaos, run_campaign_in, CampaignConfig, CampaignContext, Scope};
 
 fn ctx() -> &'static CampaignContext {
     static CTX: OnceLock<CampaignContext> = OnceLock::new();
     CTX.get_or_init(|| CampaignContext::new("t-res:3:1", false).expect("context builds"))
+}
+
+/// Serializes the tests of this binary: the chaos kill is armed
+/// process-wide, so whichever campaign first reaches the armed cursor
+/// takes it, and a concurrent test's campaign could steal it.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -41,6 +49,7 @@ fn base_config(dir: &std::path::Path) -> CampaignConfig {
 /// uninterrupted run's — exactly, not approximately.
 #[test]
 fn killed_campaign_resumes_to_identical_final_coverage() {
+    let _guard = serial();
     // Reference: one uninterrupted run.
     let ref_dir = temp_dir("reference");
     let reference = run_campaign_in(ctx(), &base_config(&ref_dir)).expect("uninterrupted campaign");
@@ -88,6 +97,7 @@ fn killed_campaign_resumes_to_identical_final_coverage() {
 /// campaign at 1 and 3 workers produces identical coverage.
 #[test]
 fn worker_count_does_not_change_coverage() {
+    let _guard = serial();
     let dir_a = temp_dir("w1");
     let mut one = base_config(&dir_a);
     one.checkpoint = None;
@@ -106,6 +116,7 @@ fn worker_count_does_not_change_coverage() {
 /// skipped; resume continues from the last complete record.
 #[test]
 fn resume_tolerates_a_torn_checkpoint_tail() {
+    let _guard = serial();
     let dir = temp_dir("torn");
     let config = base_config(&dir);
     let reference = run_campaign_in(ctx(), &config).expect("campaign completes");
@@ -128,6 +139,7 @@ fn resume_tolerates_a_torn_checkpoint_tail() {
 /// the uncounted runs.
 #[test]
 fn exhaustive_campaign_resumes_after_a_kill() {
+    let _guard = serial();
     let ref_dir = temp_dir("exh-ref");
     let mut reference_config = base_config(&ref_dir);
     reference_config.scope = Scope::Exhaustive { max_depth: 4 };

@@ -84,6 +84,21 @@ fn pipeline_telemetry_aggregates_into_a_valid_report() {
     );
     assert!(report.counters.contains_key("solver.iteration"));
     assert!(report.counters.contains_key("mapsearch.done"));
+    // The R_A compile names its own layer, with its shape.
+    let compile = lines
+        .iter()
+        .find(|l| l.contains("\"ev\":\"affine.compile\""))
+        .expect("a cold solve emits an affine.compile span");
+    for field in [
+        "\"elapsed_us\":",
+        "\"n\":2",
+        "\"side\":\"Union\"",
+        "\"chr2_facets\":9",
+        "\"kept_facets\":",
+        "\"skeleton_hit\":",
+    ] {
+        assert!(compile.contains(field), "{field} missing in {compile}");
+    }
     assert!(
         report.timings_us.contains_key("solver.iteration"),
         "iteration spans carry elapsed_us"

@@ -241,6 +241,7 @@ fn n_identical_concurrent_queries_run_the_engine_once() {
 
 #[test]
 fn bounded_queue_rejects_rather_than_buffering() {
+    let _guard = serial();
     let config = ServeConfig {
         queue_capacity: 2,
         ..ServeConfig::default()
@@ -269,6 +270,7 @@ fn bounded_queue_rejects_rather_than_buffering() {
 
 #[test]
 fn unreliable_verdicts_answer_but_never_persist() {
+    let _guard = serial();
     let dir = temp_dir("unreliable");
     let store = Arc::new(VerdictStore::open(&dir).unwrap());
     let config = ServeConfig {
